@@ -10,7 +10,9 @@ import repro.join.{GYO, Relation}
 /** spark-submit entrypoint for the empirical Table 1 (T1-median / T1-means).
   *
   * Usage: RunTable1 [median|means] [rows] [nKeys] [k] [eps]
-  * Defaults reproduce the bench configuration (rows=3000, nKeys=500, k=5).
+  * Defaults: rows=3000, nKeys=500, k=5, eps=0.5 — a larger path join than
+  * the bench suites' Table1Workload (rows=2000, nKeys=400); pass
+  * `median 2000 400` to run that configuration.
   */
 object RunTable1 {
   def main(args: Array[String]): Unit = {

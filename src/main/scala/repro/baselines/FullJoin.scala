@@ -1,6 +1,6 @@
 package repro.baselines
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.functions._
 import repro.cluster.{GammaAlg, Means, Median, Objective, Weighted}
 import repro.cluster.Weighted.Pt
@@ -53,14 +53,17 @@ object FullJoin {
     val rows =
       if (total <= collectCap) join.collect()
       else join.sample(withReplacement = false, collectCap.toDouble / total, seed).collect()
-    val pts = rows.map(r => Array.tabulate(r.length)(i => r.get(i) match {
-      case d: Double => d
-      case l: Long   => l.toDouble
-      case i2: Int   => i2.toDouble
-      case x         => x.toString.toDouble
-    }))
+    val pts = rows.map(toPt)
     val w = Array.fill(pts.length)(1.0)
     val centers = gamma.cluster(pts, w, k, new Random(seed))
     Result(centers, total, pts.length)
   }
+
+  /** A numeric join row as a point, columns in row order. */
+  def toPt(r: Row): Pt = Array.tabulate(r.length)(i => r.get(i) match {
+    case d: Double => d
+    case l: Long   => l.toDouble
+    case i2: Int   => i2.toDouble
+    case x         => x.toString.toDouble
+  })
 }

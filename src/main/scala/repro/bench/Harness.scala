@@ -3,7 +3,7 @@ package repro.bench
 import repro.baselines._
 import repro.cluster._
 import repro.core._
-import repro.join.{AcyclicQuery, LocalJoinIndex, Yannakakis}
+import repro.join.{AcyclicQuery, LocalJoinIndex}
 import scala.util.Random
 
 /** Shared benchmark harness: runs every Table 1 method end-to-end (its own
@@ -74,8 +74,7 @@ object Harness {
       rows += score("rk-means [Curtin 23]", rk.centers, tRk, s"grid=${rk.gridSize}")
 
       val (pp, tPp) = time {
-        val reduced = Yannakakis.fullReduce(q)
-        val idx = LocalJoinIndex.build(reduced)
+        val idx = LocalJoinIndex.build(q)
         val sample = idx.sampleUniform(conf.sampleSize, new Random(conf.seed))
         RelKMeansPP.run(sample, idx.n, k, gamma, conf.seed)
       }
@@ -83,8 +82,7 @@ object Harness {
     }
 
     val (uni, tUni) = time {
-      val reduced = Yannakakis.fullReduce(q)
-      val idx = LocalJoinIndex.build(reduced)
+      val idx = LocalJoinIndex.build(q)
       val sample = idx.sampleUniform(conf.sampleSize, new Random(conf.seed))
       UniformCoreset.run(sample, idx.n, k, gamma, conf.seed)
     }
@@ -93,17 +91,6 @@ object Harness {
     rows += Row("full-join (2-step)", baseCost, 1.0, tBase,
       s"join=${base.joinSize} clustered=${base.clusteredRows}")
     rows.toSeq
-  }
-
-  /** Time-only comparison for the N-scaling sweep: NEW-fast vs the two-step
-    * baseline as the join blows up. Returns (fastTime, fastRu, joinTime, joinSize).
-    */
-  def scalePoint(q: AcyclicQuery, obj: Objective, k: Int,
-                 conf: CoreConf): (Double, Double, Double, Long) = {
-    val gamma = gammaFor(obj)
-    val (fast, tFast) = time(RelKClustering.run(q, k, gamma, conf, FastBatched))
-    val (base, tBase) = time(FullJoin.run(q, k, gamma, seed = conf.seed))
-    (tFast, fast.rU, tBase, base.joinSize)
   }
 
   private def f(x: Double): String = f"$x%.4g"

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.cluster.Weighted.Pt
+import repro.join.LocalJoinIndex
 
 /** Tunables of the relational clustering algorithms. The paper's proof
   * constants (eps' = eps/34, cellsPerSide = 10*alpha*d_u/eps', per-cell
@@ -44,6 +45,13 @@ private[core] object SubSpace {
     while (i < dims.length) { out(i) = t(dims(i)); i += 1 }
     out
   }
+
+  /** The data's bounding box on the subspace dims, half-open above like the
+    * grid cells. A cell outside it holds no join result (every join
+    * coordinate is an input coordinate), so it can be skipped exactly.
+    */
+  def dataBox(index: LocalJoinIndex, dims: Array[Int]): Box =
+    Box(project(index.bounds._1, dims), project(index.bounds._2, dims).map(v => math.nextUp(v)))
 
   /** Lift a subspace box to a full-width (lo, hi) pair for LocalJoinIndex,
     * half-open on the upper side (cells are [lo, hi) but countBox is closed).

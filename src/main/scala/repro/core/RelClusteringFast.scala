@@ -42,10 +42,7 @@ object RelClusteringFast {
 
     def inB(p: Pt): Boolean = b.exists(_.contains(p))
 
-    // exact pruning of cells that cannot contain a join result (see Alg 1)
-    val dataBox = Box(
-      SubSpace.project(index.bounds._1, dims),
-      SubSpace.project(index.bounds._2, dims).map(v => math.nextUp(v)))
+    val dataBox = SubSpace.dataBox(index, dims)
 
     for (i <- x.indices; j <- 0 to jMax; key <- grids(i).cellsOfRing(i, j)) {
       val box = grids(i).boxOf(key)

@@ -34,16 +34,13 @@ object RelClusteringSlow {
     val corePts = ArrayBuffer.empty[Pt]
     val coreW = ArrayBuffer.empty[Double]
 
-    // Data bounding box on the subspace dims: a cell outside it holds no
-    // join result (every join coordinate is an input coordinate), so it can
-    // be skipped exactly. Likewise, a cell with CountRect = 0 contributes
-    // nothing and excludes nothing — the paper adds every condition-(3) cell
-    // to G, but only cells whose *counted* tuples must not be recounted need
-    // to be in G (tuples of a K=0 cell are already covered by earlier
-    // G-boxes), so we keep |G| = |C| and avoid a quadratic blow-up.
-    val dataBox = Box(
-      SubSpace.project(index.bounds._1, dims),
-      SubSpace.project(index.bounds._2, dims).map(v => math.nextUp(v)))
+    // Cells outside the data box are skipped exactly. Likewise, a cell with
+    // CountRect = 0 contributes nothing and excludes nothing — the paper adds
+    // every condition-(3) cell to G, but only cells whose *counted* tuples
+    // must not be recounted need to be in G (tuples of a K=0 cell are already
+    // covered by earlier G-boxes), so we keep |G| = |C| and avoid a quadratic
+    // blow-up.
+    val dataBox = SubSpace.dataBox(index, dims)
 
     for (i <- x.indices; j <- 0 to jMax; key <- grids(i).cellsOfRing(i, j)) {
       val box = grids(i).boxOf(key)

@@ -1,22 +1,13 @@
 package repro.join
 
-import org.apache.spark.sql.functions._
-
 /** Algorithm 3, leaf case (lines 2-8): the exact weighted 1-D projection
-  * multiset H_u = pi_A(q(D)) with w(p) = |{t in q(D) : pi_A(t) = p}|.
-  *
-  * Computed by rooting the join tree at a relation containing A, running the
-  * counting Yannakakis pass (DataFrame joins + aggregations), and grouping
-  * the root counts by A. Never materializes q(D).
+  * multiset H_u = pi_A(q(D)) with w(p) = |{t in q(D) : pi_A(t) = p}|, read
+  * off the participation counts of a [[LocalJoinIndex]]. Never materializes
+  * q(D). Callers that need several histograms build the index once and call
+  * [[LocalJoinIndex.histogram]].
   */
 object LeafHistogram {
-  /** (value, weight) pairs; weights sum to |q(D)|. */
-  def histogram(q: AcyclicQuery, attr: String): Array[(Double, Double)] = {
-    val tree = q.rootedAtAttr(attr)
-    val rc = Yannakakis.rootCounts(tree)
-    rc.groupBy(col(attr).cast("double").as("v"))
-      .agg(sum(Yannakakis.Cnt).as("w"))
-      .collect()
-      .map(r => (r.getDouble(0), r.getLong(1).toDouble))
-  }
+  /** (value, weight) pairs sorted by value; weights sum to |q(D)|. */
+  def histogram(q: AcyclicQuery, attr: String): Array[(Double, Double)] =
+    LocalJoinIndex.build(q).histogram(attr)
 }

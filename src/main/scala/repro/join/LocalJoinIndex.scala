@@ -4,16 +4,22 @@ import org.apache.spark.sql.functions.col
 import scala.collection.mutable
 import scala.util.Random
 
-/** Driver-side implementation of Lemma 2.1: `CountRect` and `SampleRect` over
-  * the (never materialized) join result q(D), restricted to an axis-parallel
-  * box.
+/** Driver-side implementation of Lemma 2.1 and Algorithm 3's counting:
+  * `CountRect` and `SampleRect` over the (never materialized) join result
+  * q(D) restricted to an axis-parallel box, |q(D)|, and the exact leaf
+  * histograms H_u.
   *
   * The index is built from the query's *input* relations — O(N) rows total,
   * which is exactly the premise of relational algorithms (inputs small, join
-  * huge). Spark generates/reduces the relations; this class collects them
-  * once and answers the paper's many tiny per-grid-cell count/sample queries
-  * at RAM-model speed, the same role Yannakakis [55] + Zhao et al. [56] play
-  * in the paper's cost model.
+  * huge). [[LocalJoinIndex.build]] collects each relation once; every count
+  * after that runs at RAM-model speed, the role Yannakakis [55] + Zhao et
+  * al. [56] play in the paper's cost model.
+  *
+  * Counting is one inside/outside pass over the join tree (FAQ/InsideOut,
+  * Abo Khamis, Ngo, Rudra, PODS 2016) giving each tuple's participation, the
+  * number of join results it is part of. `build` keeps the tuples of nonzero
+  * participation (the full reducer), sorted, so an index depends neither on
+  * a prior reduction nor on the partitioning of its inputs.
   *
   * Boxes are full-width: `lo(i)..hi(i)` per global attribute i (±∞ for
   * unconstrained attributes), so projections q_u(D) are handled for free —
@@ -75,6 +81,48 @@ final class LocalJoinIndex private (
   def sampleUniform(z: Int, rng: Random): Array[Array[Double]] =
     sample(unfiltered, z, rng)
 
+  /** H_u of Algorithm 3's leaf (lines 2-8): the (value, weight) pairs of
+    * pi_attr(q(D)) with w(p) = |{t in q(D) : t.attr = p}|, sorted by value;
+    * weights sum to |q(D)|. Groups the participation counts of the first
+    * relation holding `attr`.
+    */
+  def histogram(attr: String): Array[(Double, Double)] = {
+    val v = nodes.indexWhere(_.attrIdx.contains(attrIdx(attr)))
+    val c = nodes(v).attrIdx.indexOf(attrIdx(attr))
+    val h = mutable.TreeMap.empty[Double, Double](Ordering.Double.TotalOrdering)
+    nodes(v).rows.indices.foreach { i =>
+      val x = nodes(v).rows(i)(c)
+      h(x) = h.getOrElse(x, 0.0) + participation(v)(i)
+    }
+    h.toArray
+  }
+
+  /** Per node and tuple: the number of join results the tuple is part of,
+    * inside × outside count (a root tuple's outside count is 1). A child
+    * tuple's outside count sums, over the parent tuples it joins with, the
+    * parent's outside count times the messages of its other children: the
+    * parent's participation over the child's message.
+    */
+  private lazy val participation: Array[Array[Double]] = {
+    val inside = unfiltered.inside
+    val part = new Array[Array[Double]](nodes.length)
+    part(0) = inside(0)
+    // parents come before children in `nodes`
+    for (v <- nodes.indices; c <- nodes(v).children) {
+      val (node, child) = (nodes(v), nodes(c))
+      val parentKey = node.localIdxOfGlobals(child.sharedGlobal)
+      val outside = mutable.HashMap.empty[Key, Double]
+      node.rows.indices.filter(part(v)(_) > 0).foreach { i =>
+        val key = keyOf(node.rows(i), parentKey)
+        outside(key) = outside.getOrElse(key, 0.0) + part(v)(i) / unfiltered.msgs(c)(key).total
+      }
+      val childKey = child.localIdxOfGlobals(child.sharedGlobal)
+      part(c) = Array.tabulate(child.rows.length)(j =>
+        inside(c)(j) * outside.getOrElse(keyOf(child.rows(j), childKey), 0.0))
+    }
+    part
+  }
+
   // ------------------------------------------------------------------
 
   /** Per-query dynamic program: for every relation tuple passing the box
@@ -118,26 +166,10 @@ final class LocalJoinIndex private (
           }
           j += 1
         }
-        val msg = mutable.HashMap.empty[Key, Group]
-        grouped.foreach { case (k, idxs) =>
-          val ridx = idxs.toArray
-          val cum = new Array[Double](ridx.length)
-          var acc = 0.0
-          var t = 0
-          while (t < ridx.length) { acc += cnt(ridx(t)); cum(t) = acc; t += 1 }
-          msg(k) = Group(ridx, cum, acc)
-        }
-        msgs(v) = msg
+        msgs(v) = grouped.map { case (k, idxs) => k -> Group.of(idxs.toArray, cnt) }
       }
     }
-    // root cumulative
-    val rootCnt = cnts(0)
-    val ridx = rootCnt.indices.filter(rootCnt(_) > 0).toArray
-    val cum = new Array[Double](ridx.length)
-    var acc = 0.0
-    var t = 0
-    while (t < ridx.length) { acc += rootCnt(ridx(t)); cum(t) = acc; t += 1 }
-    Weights(msgs, Group(ridx, cum, acc))
+    Weights(msgs, Group.of(cnts(0).indices.filter(cnts(0)(_) > 0).toArray, cnts(0)), cnts)
   }
 
   private def passes(node: Node, row: Array[Double],
@@ -216,7 +248,17 @@ object LocalJoinIndex {
   /** Tuples of one relation sharing a parent-key, with cumulative subtree counts. */
   final case class Group(rowIdx: Array[Int], cum: Array[Double], total: Double)
 
-  final case class Weights(msgs: Array[mutable.HashMap[Key, Group]], root: Group)
+  object Group {
+    /** The tuples `rowIdx` with counts `cnt`, cumulated in `rowIdx` order. */
+    def of(rowIdx: Array[Int], cnt: Array[Double]): Group = {
+      val cum = rowIdx.scanLeft(0.0)((acc, i) => acc + cnt(i)).tail
+      Group(rowIdx, cum, cum.lastOption.getOrElse(0.0))
+    }
+  }
+
+  /** Bottom-up messages, the root's tuples, and every tuple's inside count. */
+  final case class Weights(msgs: Array[mutable.HashMap[Key, Group]], root: Group,
+                           inside: Array[Array[Double]])
 
   final case class Node(
       name: String,
@@ -229,9 +271,19 @@ object LocalJoinIndex {
     def localIdxOfGlobals(gs: Array[Int]): Array[Int] = gs.map(globalToLocal)
   }
 
+  private val lexicographic: Ordering[Array[Double]] = (x, y) => {
+    var i = 0
+    var c = 0
+    while (c == 0 && i < x.length) { c = java.lang.Double.compare(x(i), y(i)); i += 1 }
+    c
+  }
+
   /** Collect the query's relations (cast to double) and build the index.
-    * Pass the *reduced* query for tight per-tuple counts; an unreduced query
-    * still yields correct results (dangling tuples get count 0).
+    * Values follow Spark's join-key semantics: -0.0 is read as 0.0. A null
+    * value is rejected. Tuples that join with nothing are dropped and the
+    * rest are sorted, so an unreduced query and its [[Yannakakis.fullReduce]]
+    * build identical indexes, whatever the column order and partitioning of
+    * the relations.
     */
   def build(q: AcyclicQuery): LocalJoinIndex = {
     val attrs = q.allAttrs.filterNot(_.startsWith(Yannakakis.CarryPrefix)).toArray
@@ -241,11 +293,17 @@ object LocalJoinIndex {
     val buf = mutable.ArrayBuffer.empty[Node]
     def flatten(t: JoinTree, parentAttrs: Set[String]): Int = {
       val myIdx = buf.length
-      val cols = t.rel.attrs.filterNot(_.startsWith(Yannakakis.CarryPrefix))
+      // columns in global order: a semi-join moves its keys to the front
+      val cols = t.rel.attrs.filterNot(_.startsWith(Yannakakis.CarryPrefix)).sortBy(attrIndex)
       val rows = t.rel.df
         .select(cols.map(c => col(c).cast("double")): _*)
         .collect()
-        .map(r => Array.tabulate(cols.length)(i => r.getDouble(i)))
+        .map(r => Array.tabulate(cols.length) { i =>
+          require(!r.isNullAt(i), s"relation ${t.rel.name}: column ${cols(i)} holds a null")
+          val x = r.getDouble(i)
+          if (x == 0.0) 0.0 else x
+        })
+        .sorted(lexicographic)
       buf += Node(
         t.rel.name,
         cols.map(attrIndex).toArray,
@@ -258,6 +316,9 @@ object LocalJoinIndex {
       myIdx
     }
     flatten(tree, Set.empty)
-    new LocalJoinIndex(attrs, buf.toArray)
+    val all = new LocalJoinIndex(attrs, buf.toArray)
+    new LocalJoinIndex(attrs, buf.toArray.zip(all.participation).map { case (node, p) =>
+      node.copy(rows = node.rows.indices.filter(p(_) > 0).map(node.rows).toArray)
+    })
   }
 }

@@ -131,7 +131,7 @@ class VariationsSpec extends SparkSpec {
     assert(mine <= 1.8 * base, s"mine=$mine base=$base")
   }
 
-  test("5-relation star query through the whole pipeline") {
+  private lazy val star: AcyclicQuery = {
     def dim(n: String, key: String, v: String, seed: Int) =
       Relation(n, spark.range(200).select(
         (rand(seed) * 20).cast("long").cast("double") as key,
@@ -141,9 +141,13 @@ class VariationsSpec extends SparkSpec {
       (rand(32) * 20).cast("long").cast("double") as "k2",
       (rand(33) * 20).cast("long").cast("double") as "k3",
       (rand(34) * 20).cast("long").cast("double") as "k4").cache())
-    val sq = GYO.joinTree(Seq(fact,
+    GYO.joinTree(Seq(fact,
       dim("d1", "k1", "v1", 41), dim("d2", "k2", "v2", 43),
       dim("d3", "k3", "v3", 45), dim("d4", "k4", "v4", 47))).get
+  }
+
+  test("5-relation star query through the whole pipeline") {
+    val sq = star
     val n = Yannakakis.countJoin(sq)
     assert(n > 0)
     val idx = LocalJoinIndex.build(Yannakakis.fullReduce(sq))
@@ -153,6 +157,23 @@ class VariationsSpec extends SparkSpec {
       CoreConf(sampleSize = 2000, seed = 26), FastBatched)
     assert(res.centers.length == 2)
     assert(res.rU > 0 && java.lang.Double.isFinite(res.rU))
+  }
+
+  test("star query: every attribute's index histogram matches DuckDB") {
+    // rooted at the fact table, whose 4 children make the outside pass
+    // multiply sibling messages
+    assert(star.rooted(star.relations.head.name).children.length == 4)
+    val idx = LocalJoinIndex.build(star)
+    val from = "FROM fact, d1, d2, d3, d4 WHERE fact.k1 = d1.k1 AND fact.k2 = d2.k2 " +
+      "AND fact.k3 = d3.k3 AND fact.k4 = d4.k4"
+    val owner = Map("k1" -> "fact", "k2" -> "fact", "k3" -> "fact", "k4" -> "fact",
+      "v1" -> "d1", "v2" -> "d2", "v3" -> "d3", "v4" -> "d4")
+    val got = idx.attrs.toSeq.flatMap(a => idx.histogram(a).map { case (v, w) => (a, v, w.toLong) })
+    Oracle.assertEquivalent(
+      got.toDF("attr", "v", "w"),
+      idx.attrs.map(a => s"SELECT '$a' AS attr, CAST(${owner(a)}.$a AS DOUBLE) AS v, " +
+        s"COUNT(*) AS w $from GROUP BY 2").mkString(" UNION ALL "),
+      star.relations.map(r => r.name -> r.df): _*)
   }
 
   test("a relation whose attributes subsume another's is handled by GYO") {

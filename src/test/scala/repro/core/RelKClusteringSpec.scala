@@ -147,6 +147,16 @@ class RelKClusteringSpec extends SparkSpec {
     assert(a.rU == b.rU)
   }
 
+  test("centers do not depend on the partitioning of the inputs") {
+    val repartitioned = q.withDfs(q.relations.map(r => r.name -> r.df.repartition(7)).toMap)
+    val a = RelKClustering.run(q, k, KMeansAlg(), conf, FastBatched)
+    val b = RelKClustering.run(repartitioned, k, KMeansAlg(), conf, FastBatched)
+    assert(a.centers.length == b.centers.length)
+    assert(a.centers.indices.forall(i => java.util.Arrays.equals(a.centers(i), b.centers(i))),
+      s"${a.centers.map(_.toSeq).toSeq} vs ${b.centers.map(_.toSeq).toSeq}")
+    assert(a.rU == b.rU)
+  }
+
   test("empty join is rejected with a clear error") {
     val empty = q.withDfs(Map("r2" ->
       q.relation("r2").df.where(org.apache.spark.sql.functions.lit(false))))

@@ -112,6 +112,32 @@ class LocalJoinIndexSpec extends SparkSpec {
   test("index on an unreduced query still counts correctly") {
     val raw = LocalJoinIndex.build(path) // no fullReduce
     assert(raw.n == index.n)
+    // the index drops dangling tuples and sorts the rest: same index
+    assert(raw.bounds._1.sameElements(index.bounds._1) && raw.bounds._2.sameElements(index.bounds._2))
+    for (s <- 1 to 3) {
+      val a = raw.sampleUniform(500, new Random(s))
+      val b = index.sampleUniform(500, new Random(s))
+      assert(a.indices.forall(i => java.util.Arrays.equals(a(i), b(i))), s"seed $s")
+    }
+  }
+
+  test("-0.0 and 0.0 join keys are equal, as in Spark's join") {
+    val r = Seq((1.0, -0.0), (2.0, 0.0), (3.0, 1.0)).toDF("a", "b")
+    val s = Seq((-0.0, 5.0), (0.0, 6.0), (1.0, 7.0)).toDF("b", "c")
+    val q = GYO.joinTree(Seq(Relation("r", r), Relation("s", s))).get
+    val idx = LocalJoinIndex.build(q)
+    assert(idx.n == 5.0)
+    assert(idx.n == Yannakakis.countJoin(q).toDouble)
+    assert(idx.n == Yannakakis.materialize(q).count().toDouble)
+    assert(idx.histogram("b").toSeq == Seq((0.0, 4.0), (1.0, 1.0)))
+  }
+
+  test("a null coordinate is rejected naming its relation and column") {
+    val r = Seq((Some(1.0), 0.0), (None, 1.0)).toDF("a", "b")
+    val s = Seq((0.0, 5.0)).toDF("b", "c")
+    val q = GYO.joinTree(Seq(Relation("r", r), Relation("s", s))).get
+    val e = intercept[IllegalArgumentException](LocalJoinIndex.build(q))
+    assert(e.getMessage.contains("relation r") && e.getMessage.contains("column a"), e.getMessage)
   }
 
   test("works on the TPC-H FK join") {

@@ -28,23 +28,22 @@ class YannakakisSpec extends SparkSpec {
   }
 
   test("countJoin is invariant under re-rooting") {
-    val c1 = Yannakakis.rootCounts(path.rooted("r1"))
-      .agg(coalesce(sum(Yannakakis.Cnt), lit(0L))).head.getLong(0)
-    val c2 = Yannakakis.rootCounts(path.rooted("r2"))
-      .agg(coalesce(sum(Yannakakis.Cnt), lit(0L))).head.getLong(0)
-    val c3 = Yannakakis.rootCounts(path.rooted("r3"))
-      .agg(coalesce(sum(Yannakakis.Cnt), lit(0L))).head.getLong(0)
+    def total(root: String) = Yannakakis.countsByCarry(path.rooted(root)).head.getLong(0)
+    val c1 = total("r1")
+    val c2 = total("r2")
+    val c3 = total("r3")
     assert(c1 == c2 && c2 == c3)
   }
 
-  test("rootCounts matches DuckDB per-tuple participation counts") {
-    val rc = Yannakakis.rootCounts(path.rooted("r2"))
-      .groupBy($"b", $"c").agg(sum(Yannakakis.Cnt).as("cnt"))
-    Oracle.assertEquivalent(
-      rc,
-      "SELECT CAST(r2.b AS DOUBLE) AS b, CAST(r2.c AS DOUBLE) AS c, COUNT(*) AS cnt " +
-        s"${TestData.pathJoinSql} GROUP BY r2.b, r2.c",
-      pathTables: _*)
+  test("index histograms of b and c match DuckDB per-value participation counts") {
+    val index = LocalJoinIndex.build(path)
+    for (a <- Seq("b", "c")) {
+      Oracle.assertEquivalent(
+        index.histogram(a).toSeq.toDF(a, "cnt").withColumn("cnt", col("cnt").cast("long")),
+        s"SELECT CAST(r2.$a AS DOUBLE) AS $a, COUNT(*) AS cnt " +
+          s"${TestData.pathJoinSql} GROUP BY r2.$a",
+        pathTables: _*)
+    }
   }
 
   test("fullReduce removes exactly the dangling tuples") {
@@ -63,7 +62,9 @@ class YannakakisSpec extends SparkSpec {
 
   test("fullReduce leaves no dangling tuple (each tuple joins)") {
     val reduced = Yannakakis.fullReduce(path)
-    val rc = Yannakakis.rootCounts(reduced.rooted("r1"))
+    // carry a row id: one count per r1 tuple that joins
+    val r1 = reduced.relation("r1").df.withColumn("cc_id", monotonically_increasing_id())
+    val rc = Yannakakis.countsByCarry(reduced.withDfs(Map("r1" -> r1)).rooted("r1"))
     // after a full reduce, every r1 tuple participates in >= 1 join result
     assert(rc.where(col(Yannakakis.Cnt) <= 0).isEmpty)
     assert(rc.count() == reduced.relation("r1").df.count())
@@ -103,9 +104,10 @@ class YannakakisSpec extends SparkSpec {
   }
 
   test("counting never materializes more rows than the inputs (plan sanity)") {
-    // the counting pass must be joins of *aggregated* children: its result
-    // has at most |root| rows
-    val rc = Yannakakis.rootCounts(path.rooted("r1"))
+    // the counting pass must be joins of *aggregated* children: grouped by
+    // a carried root-tuple id, its result has at most |root| rows
+    val r1 = path.relation("r1").df.withColumn("cc_id", monotonically_increasing_id())
+    val rc = Yannakakis.countsByCarry(path.withDfs(Map("r1" -> r1)).rooted("r1"))
     assert(rc.count() <= path.relation("r1").df.count())
   }
 
