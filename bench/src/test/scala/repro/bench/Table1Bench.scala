@@ -1,43 +1,15 @@
 package repro.bench
 
-import repro.{SparkSpec, SynthData}
+import repro.SparkSpec
 import repro.cluster.{Means, Median}
-import repro.core.CoreConf
-import repro.join.{GYO, Relation}
 
-/** Empirical Table 1 — workload: many-to-many path join
-  * R1(a1,b) ⋈ R2(b,c) ⋈ R3(c,a2); N = 3 x 2000 input tuples, |q(D)| ≈ 50k
-  * (~8x blow-up); k = 5, eps = 0.5. All methods run end-to-end (their own
-  * relational passes included) and are scored with the exact cost over the
-  * full join. Paper-vs-measured: EXPERIMENTS.md.
-  */
-object Table1Workload {
-  val rows = 2000L
-  val nKeys = 400L
-  val k = 5
-  val conf: CoreConf = CoreConf(epsilon = 0.5, cellsPerSide = 8, sampleSize = 30000,
-    heavyFraction = 0.02, seed = 7)
-  val slowConf: CoreConf = conf.copy(cellsPerSide = 4)
-
-  def query(spark: org.apache.spark.sql.SparkSession): repro.join.AcyclicQuery = {
-    val r1 = SynthData.pathR1(spark, rows, nKeys, seed = 100).cache()
-    val r2 = SynthData.pathR2(spark, rows, nKeys, nKeys, seed = 200).cache()
-    val r3 = SynthData.pathR3(spark, rows, nKeys, seed = 300).cache()
-    r1.count(); r2.count(); r3.count() // exclude generation from timings
-    GYO.joinTree(Seq(Relation("r1", r1), Relation("r2", r2), Relation("r3", r3))).get
-  }
-}
-
+/** Shape of empirical Table 1 on [[Table1Workload]]. */
 class Table1MedianBench extends SparkSpec {
   test("T1-median: relational k-median, all methods") {
-    val q = Table1Workload.query(spark)
-    val rows = Harness.table1(q, Median, Table1Workload.k, Table1Workload.conf,
-      includeSlow = true, slowConf = Table1Workload.slowConf)
-    println(Harness.fmt(
-      s"T1-median path(rows=${Table1Workload.rows},keys=${Table1Workload.nKeys}) " +
-        s"k=${Table1Workload.k} eps=${Table1Workload.conf.epsilon}", rows))
+    val t = Table1Workload.run(spark, Median)
+    println(t.text)
 
-    val byName = rows.map(r => r.method -> r).toMap
+    val byName = t.rows.map(r => r.method -> r).toMap
     val fast = byName("NEW-fast (Alg3+Alg2)")
     val slow = byName("NEW-slow (Alg3+Alg1)")
     // Table 1 shape: NEW methods are (1+eps)gamma-competitive...
@@ -53,14 +25,10 @@ class Table1MedianBench extends SparkSpec {
 
 class Table1MeansBench extends SparkSpec {
   test("T1-means: relational k-means, all methods incl. [23] and [43]") {
-    val q = Table1Workload.query(spark)
-    val rows = Harness.table1(q, Means, Table1Workload.k, Table1Workload.conf,
-      includeSlow = true, slowConf = Table1Workload.slowConf)
-    println(Harness.fmt(
-      s"T1-means path(rows=${Table1Workload.rows},keys=${Table1Workload.nKeys}) " +
-        s"k=${Table1Workload.k} eps=${Table1Workload.conf.epsilon}", rows))
+    val t = Table1Workload.run(spark, Means)
+    println(t.text)
 
-    val byName = rows.map(r => r.method -> r).toMap
+    val byName = t.rows.map(r => r.method -> r).toMap
     val fast = byName("NEW-fast (Alg3+Alg2)")
     val slow = byName("NEW-slow (Alg3+Alg1)")
     val rk = byName("rk-means [Curtin 23]")

@@ -4,11 +4,14 @@ import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 
-/** Synthetic OLAP data at a configurable scale factor.
+/** Synthetic relations: a TPC-H-lite FK schema scaled by `sf` (SF=1.0 is
+  * roughly TPC-H SF1), zipf-skewed keys, and the path-join and triangle
+  * workloads of the relational-clustering benches.
   *
-  * SF=1.0 is roughly TPC-H SF1 (~1 GB across tables). Tests use SF<=0.01;
-  * benchmarks use SF~=0.1. Generators are deterministic in (sf, seed) so
-  * the DuckDB oracle sees identical input.
+  * Every generator is deterministic in its sizes and seed on any machine:
+  * Spark seeds `rand`/`randn` per partition, so each table is drawn over a
+  * fixed number of partitions rather than the session's default
+  * parallelism.
   */
 object SynthData {
   private val NLineitemPerSf = 6_000_000L
@@ -18,10 +21,19 @@ object SynthData {
 
   private def n(base: Long, sf: Double): Long = math.max(1L, (base * sf).toLong)
 
+  /** Partitions of every generated table. 4 is the benchmark's pinned
+    * parallelism, so its inputs equal a 4-core session's default draw.
+    */
+  private val Partitions = 4
+
+  /** Ids `start until end` in column `id`, over [[Partitions]] partitions. */
+  private def ids(spark: SparkSession, start: Long, end: Long): DataFrame =
+    spark.range(start, end, 1, Partitions).toDF()
+
   def lineitem(spark: SparkSession, sf: Double = 0.01, seed: Long = 0): DataFrame = {
     import spark.implicits._
     val nOrders = n(NOrdersPerSf, sf); val nPart = n(NPartPerSf, sf)
-    spark.range(n(NLineitemPerSf, sf)).select(
+    ids(spark, 0, n(NLineitemPerSf, sf)).select(
       (rand(seed)     * nOrders + 1).cast(LongType)    as "l_orderkey",
       (rand(seed + 1) * nPart   + 1).cast(LongType)    as "l_partkey",
       (rand(seed + 2) * 7 + 1).cast(IntegerType)       as "l_linenumber",
@@ -41,7 +53,7 @@ object SynthData {
   def orders(spark: SparkSession, sf: Double = 0.01, seed: Long = 1): DataFrame = {
     import spark.implicits._
     val nCust = n(NCustomerPerSf, sf)
-    spark.range(1, n(NOrdersPerSf, sf) + 1).toDF("o_orderkey").select(
+    ids(spark, 1, n(NOrdersPerSf, sf) + 1).toDF("o_orderkey").select(
       $"o_orderkey",
       (rand(seed)     * nCust + 1).cast(LongType)             as "o_custkey",
       element_at(array(lit("O"), lit("F"), lit("P")),
@@ -54,7 +66,7 @@ object SynthData {
 
   def customer(spark: SparkSession, sf: Double = 0.01, seed: Long = 2): DataFrame = {
     import spark.implicits._
-    spark.range(1, n(NCustomerPerSf, sf) + 1).toDF("c_custkey").select(
+    ids(spark, 1, n(NCustomerPerSf, sf) + 1).toDF("c_custkey").select(
       $"c_custkey",
       (rand(seed) * 25).cast(IntegerType)                as "c_nationkey",
       round(rand(seed + 1) * 10000 - 1000, 2)            as "c_acctbal",
@@ -64,13 +76,13 @@ object SynthData {
     )
   }
 
-  /** Skewed key column — for join-skew / cardinality-estimation papers. */
+  /** Skewed key column: `rows` draws from a zipf(`alpha`) law over 1..nKeys. */
   def zipfKeys(spark: SparkSession, rows: Long, nKeys: Long,
                alpha: Double = 1.1, seed: Long = 3): DataFrame = {
     import spark.implicits._
     // Inverse-CDF draw over rank weights 1/k^alpha; good enough for skew.
     val norm = (1L to math.min(nKeys, 10000L)).map(k => 1.0 / math.pow(k, alpha)).sum
-    spark.range(rows).select(
+    ids(spark, 0, rows).select(
       least(lit(nKeys),
             greatest(lit(1L),
               pow(lit(1.0) / (rand(seed) * norm + 1e-9), lit(1.0 / alpha)).cast(LongType)
@@ -105,34 +117,34 @@ object SynthData {
     */
   def pathR1(spark: SparkSession, rows: Long, nKeysB: Long, seed: Long = 10,
              nComp: Int = 4, sigma: Double = 3.0): DataFrame =
-    spark.range(rows).select(
+    ids(spark, 0, rows).select(
       mixture(seed, nComp, sigma)  as "a1",
       keyCol(seed + 1, nKeysB)     as "b",
     )
 
   def pathR2(spark: SparkSession, rows: Long, nKeysB: Long, nKeysC: Long,
              seed: Long = 20): DataFrame =
-    spark.range(rows).select(
+    ids(spark, 0, rows).select(
       keyCol(seed, nKeysB)     as "b",
       keyCol(seed + 1, nKeysC) as "c",
     )
 
   def pathR3(spark: SparkSession, rows: Long, nKeysC: Long, seed: Long = 30,
              nComp: Int = 3, sigma: Double = 3.0): DataFrame =
-    spark.range(rows).select(
+    ids(spark, 0, rows).select(
       keyCol(seed, nKeysC)        as "c",
       mixture(seed + 1, nComp, sigma) as "a2",
     )
 
   /** Triangle query R(a,b), S(b,c), T(c,a) — cyclic, fhw = 3/2. */
   def triangleR(spark: SparkSession, rows: Long, nKeys: Long, seed: Long = 40): DataFrame =
-    spark.range(rows).select(keyCol(seed, nKeys) as "a", keyCol(seed + 1, nKeys) as "b")
+    ids(spark, 0, rows).select(keyCol(seed, nKeys) as "a", keyCol(seed + 1, nKeys) as "b")
 
   def triangleS(spark: SparkSession, rows: Long, nKeys: Long, seed: Long = 50): DataFrame =
-    spark.range(rows).select(keyCol(seed, nKeys) as "b", keyCol(seed + 1, nKeys) as "c")
+    ids(spark, 0, rows).select(keyCol(seed, nKeys) as "b", keyCol(seed + 1, nKeys) as "c")
 
   def triangleT(spark: SparkSession, rows: Long, nKeys: Long, seed: Long = 60): DataFrame =
-    spark.range(rows).select(keyCol(seed, nKeys) as "c", keyCol(seed + 1, nKeys) as "a")
+    ids(spark, 0, rows).select(keyCol(seed, nKeys) as "c", keyCol(seed + 1, nKeys) as "a")
 
   /** TPC-H-lite FK join lineitem ⋈ orders ⋈ customer projected to numeric
     * attributes — the "realistic schema" workload (join size = |lineitem|,

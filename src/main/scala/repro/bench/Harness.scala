@@ -9,7 +9,7 @@ import scala.util.Random
 /** Shared benchmark harness: runs every Table 1 method end-to-end (its own
   * relational passes included), scores all centers with the exact Spark-side
   * cost over the full join, and renders the table rows recorded in
-  * EXPERIMENTS.md. Used by both `bench/` suites and the `jobs/` entrypoints.
+  * EXPERIMENTS.md. The table runners in `Tables.scala` build on it.
   */
 object Harness {
 
@@ -32,13 +32,17 @@ object Harness {
   private def gammaFor(obj: Objective): GammaAlg =
     obj match { case Means => KMeansAlg(); case Median => KMedianAlg() }
 
-  /** One empirical Table 1 block: all methods for one objective on one
-    * workload. `includeSlow` gates the deterministic Algorithm 1 (its
+  /** Largest relation on which the deterministic Algorithm 1 runs: its
     * k^(2d+2) N running time makes it feasible only on small workloads —
-    * that slowness is itself one of Table 1's claims).
+    * that slowness is itself one of Table 1's claims.
     */
-  def table1(q: AcyclicQuery, obj: Objective, k: Int, conf: CoreConf,
-             includeSlow: Boolean, slowConf: CoreConf): Seq[Row] = {
+  private val SlowMaxRows = 5000L
+
+  /** One empirical Table 1 block: all methods for one objective on one
+    * workload. Algorithm 1 runs, on a coarser grid (4 cells per side), only
+    * when no relation of `q` has more than [[SlowMaxRows]] tuples.
+    */
+  def table1(q: AcyclicQuery, obj: Objective, k: Int, conf: CoreConf): Seq[Row] = {
     val gamma = gammaFor(obj)
     val attrs = q.allAttrs
 
@@ -63,7 +67,8 @@ object Harness {
       conf, FastBatched, discrete = true))
     rows += score("NEW-fast discrete", fastD.centers, tFastD, "centers from q(D)")
 
-    if (includeSlow) {
+    if (q.relations.forall(_.df.count() <= SlowMaxRows)) {
+      val slowConf = conf.copy(cellsPerSide = 4)
       val (slow, tSlow) = time(RelKClustering.run(q, k, gamma, slowConf, SlowDeterministic))
       rows += score("NEW-slow (Alg3+Alg1)", slow.centers, tSlow,
         s"deterministic, cellsPerSide=${slowConf.cellsPerSide}")

@@ -1,7 +1,9 @@
 package repro.core
 
+import repro.cluster.{GammaAlg, Objective, Weighted}
 import repro.cluster.Weighted.Pt
 import repro.join.LocalJoinIndex
+import scala.util.Random
 
 /** Tunables of the relational clustering algorithms. The paper's proof
   * constants (eps' = eps/34, cellsPerSide = 10*alpha*d_u/eps', per-cell
@@ -71,7 +73,7 @@ private[core] object SubSpace {
   /** phi for the objective: r/(alpha n) for k-median, sqrt(r/(alpha n)) for
     * k-means (Appendix A.2); floored to stay positive when r = 0.
     */
-  def phiFor(obj: repro.cluster.Objective, r: Double, alpha: Double, n: Double): Double = {
+  def phiFor(obj: Objective, r: Double, alpha: Double, n: Double): Double = {
     val raw = obj match {
       case repro.cluster.Median => r / (alpha * n)
       case repro.cluster.Means  => math.sqrt(math.max(r, 0.0) / (alpha * n))
@@ -80,7 +82,7 @@ private[core] object SubSpace {
   }
 
   /** Max tuple-to-center distance in phi units (ring count driver). */
-  def ringRatio(obj: repro.cluster.Objective, alpha: Double, n: Double): Double = obj match {
+  def ringRatio(obj: Objective, alpha: Double, n: Double): Double = obj match {
     case repro.cluster.Median => alpha * n
     case repro.cluster.Means  => math.sqrt(alpha * n)
   }
@@ -88,4 +90,41 @@ private[core] object SubSpace {
   /** Condition (3): phi(x_i, cell) <= phi(X, cell) + diam(cell). */
   def condition3(x: Pt, xs: Array[Pt], box: Box): Boolean =
     Geometry.pointBoxDist(x, box) <= Geometry.setBoxDist(xs, box) + box.diam
+
+  /** The exponential grid of Section 3.1 around every x in X, with phi and
+    * the ring count set by the objective, r, alpha and n = |q(D)|.
+    */
+  def grids(obj: Objective, x: Array[Pt], alpha: Double, r: Double, n: Double,
+            cellsPerSide: Int): Array[ExpGrid] = {
+    val phi = phiFor(obj, r, alpha, n)
+    val jMax = ExpGrid.jMaxFor(ringRatio(obj, alpha, n))
+    x.map(c => new ExpGrid(c, phi, cellsPerSide, jMax))
+  }
+
+  /** The cell walk of Algorithms 1 and 2: for each x_i in order, ring by
+    * ring, every cell of x_i's grid that meets the data box and passes
+    * condition (3) is handed to `f` with its full-width CountRect/SampleRect
+    * query box. Cells outside the data box hold no join result and are
+    * skipped exactly.
+    */
+  def foreachCell(index: LocalJoinIndex, dims: Array[Int], x: Array[Pt],
+                  grids: Array[ExpGrid])
+                 (f: (Box, Array[Double], Array[Double]) => Unit): Unit = {
+    val data = dataBox(index, dims)
+    for (i <- x.indices; j <- 0 to grids(i).jMax; key <- grids(i).cellsOfRing(i, j)) {
+      val box = grids(i).boxOf(key)
+      if (box.intersects(data) && condition3(x(i), x, box)) {
+        val (flo, fhi) = lift(box, dims, index.dim)
+        f(box, flo, fhi)
+      }
+    }
+  }
+
+  /** Cluster a weighted coreset with gamma; r_u is its cost times `rUFactor`. */
+  def finish(pts: Array[Pt], w: Array[Double], k: Int,
+             gamma: GammaAlg, rng: Random, rUFactor: Double): ClusterOut = {
+    val s = gamma.cluster(pts, w, k, rng)
+    val rU = Weighted.cost(pts, w, s, gamma.objective) * rUFactor
+    ClusterOut(s, rU, pts, w)
+  }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.cluster.{GammaAlg, Weighted}
+import repro.cluster.GammaAlg
 import repro.cluster.Weighted.Pt
 import repro.join.LocalJoinIndex
 import scala.collection.mutable
@@ -28,12 +28,8 @@ object RelClusteringFast {
   def run(index: LocalJoinIndex, dims: Array[Int], x: Array[Pt],
           alpha: Double, r: Double, k: Int,
           gamma: GammaAlg, conf: CoreConf, rng: Random): ClusterOut = {
-    val n = index.n
-    require(n > 0, "empty join")
-    val obj = gamma.objective
-    val phi = SubSpace.phiFor(obj, r, alpha, n)
-    val jMax = ExpGrid.jMaxFor(SubSpace.ringRatio(obj, alpha, n))
-    val grids = x.map(c => new ExpGrid(c, phi, conf.cellsPerSide, jMax))
+    require(index.n > 0, "empty join")
+    val grids = SubSpace.grids(gamma.objective, x, alpha, r, index.n, conf.cellsPerSide)
     val m = conf.perCellSamples
 
     val b = mutable.ArrayBuffer.empty[Box] // heavy cells, in order
@@ -42,27 +38,21 @@ object RelClusteringFast {
 
     def inB(p: Pt): Boolean = b.exists(_.contains(p))
 
-    val dataBox = SubSpace.dataBox(index, dims)
-
-    for (i <- x.indices; j <- 0 to jMax; key <- grids(i).cellsOfRing(i, j)) {
-      val box = grids(i).boxOf(key)
-      if (box.intersects(dataBox) && SubSpace.condition3(x(i), x, box)) {
-        val (flo, fhi) = SubSpace.lift(box, dims, index.dim)
-        val h = index.sampleBox(flo, fhi, m, rng).map(SubSpace.project(_, dims))
-        if (h.nonEmpty) {
-          val fresh = h.filterNot(inB)
-          val g = fresh.length
-          if (g.toDouble / m >= conf.heavyFraction) {
-            val nCell = index.countBox(flo, fhi)
-            corePts += fresh.head
-            coreW += (g.toDouble / m) * nCell / (1 - conf.epsPrimeFast)
-            b += box
-          }
+    SubSpace.foreachCell(index, dims, x, grids) { (box, flo, fhi) =>
+      val h = index.sampleBox(flo, fhi, m, rng).map(SubSpace.project(_, dims))
+      if (h.nonEmpty) {
+        val fresh = h.filterNot(inB)
+        val g = fresh.length
+        if (g.toDouble / m >= conf.heavyFraction) {
+          val nCell = index.countBox(flo, fhi)
+          corePts += fresh.head
+          coreW += (g.toDouble / m) * nCell / (1 - conf.epsPrimeFast)
+          b += box
         }
       }
     }
 
-    RelClusteringSlow.finish(corePts.toArray, coreW.toArray, k, gamma, rng, rUFactor(conf))
+    SubSpace.finish(corePts.toArray, coreW.toArray, k, gamma, rng, rUFactor(conf))
   }
 
   /** r_u = (1+4eps')/(1-9eps') * v_S(C) (Lemma 3.10 / Alg 2 line 18). */
@@ -76,10 +66,7 @@ object RelClusteringFast {
                  alpha: Double, r: Double, k: Int,
                  gamma: GammaAlg, conf: CoreConf, rng: Random): ClusterOut = {
     require(sample.nonEmpty, "empty sample")
-    val obj = gamma.objective
-    val phi = SubSpace.phiFor(obj, r, alpha, n)
-    val jMax = ExpGrid.jMaxFor(SubSpace.ringRatio(obj, alpha, n))
-    val grids = x.map(c => new ExpGrid(c, phi, conf.cellsPerSide, jMax))
+    val grids = SubSpace.grids(gamma.objective, x, alpha, r, n, conf.cellsPerSide)
 
     val pts = sample.map(SubSpace.project(_, dims))
     val mTot = pts.length.toDouble
@@ -118,6 +105,6 @@ object RelClusteringFast {
       t += 1
     }
 
-    RelClusteringSlow.finish(corePts.toArray, coreW.toArray, k, gamma, rng, rUFactor(conf))
+    SubSpace.finish(corePts.toArray, coreW.toArray, k, gamma, rng, rUFactor(conf))
   }
 }

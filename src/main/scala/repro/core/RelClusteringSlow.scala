@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.cluster.{GammaAlg, Weighted}
+import repro.cluster.GammaAlg
 import repro.cluster.Weighted.Pt
 import repro.join.LocalJoinIndex
 import scala.collection.mutable.ArrayBuffer
@@ -23,42 +23,31 @@ object RelClusteringSlow {
   def run(index: LocalJoinIndex, dims: Array[Int], x: Array[Pt],
           alpha: Double, r: Double, k: Int,
           gamma: GammaAlg, conf: CoreConf, rng: Random): ClusterOut = {
-    val n = index.n
-    require(n > 0, "empty join")
-    val obj = gamma.objective
-    val phi = SubSpace.phiFor(obj, r, alpha, n)
-    val jMax = ExpGrid.jMaxFor(SubSpace.ringRatio(obj, alpha, n))
-    val grids = x.map(c => new ExpGrid(c, phi, conf.cellsPerSide, jMax))
+    require(index.n > 0, "empty join")
+    val grids = SubSpace.grids(gamma.objective, x, alpha, r, index.n, conf.cellsPerSide)
 
     val g = ArrayBuffer.empty[Box] // processed cells that contributed tuples
     val corePts = ArrayBuffer.empty[Pt]
     val coreW = ArrayBuffer.empty[Double]
 
-    // Cells outside the data box are skipped exactly. Likewise, a cell with
-    // CountRect = 0 contributes nothing and excludes nothing — the paper adds
-    // every condition-(3) cell to G, but only cells whose *counted* tuples
-    // must not be recounted need to be in G (tuples of a K=0 cell are already
-    // covered by earlier G-boxes), so we keep |G| = |C| and avoid a quadratic
-    // blow-up.
-    val dataBox = SubSpace.dataBox(index, dims)
-
-    for (i <- x.indices; j <- 0 to jMax; key <- grids(i).cellsOfRing(i, j)) {
-      val box = grids(i).boxOf(key)
-      if (box.intersects(dataBox) && SubSpace.condition3(x(i), x, box)) {
-        val (flo, fhi) = SubSpace.lift(box, dims, index.dim)
-        if (index.countBox(flo, fhi) > 0) {
-          val (cnt, rep) = countMinusG(index, dims, box, g, rng)
-          if (cnt > 0) {
-            corePts += rep.get
-            coreW += cnt
-            g += box
-          }
+    // A cell with CountRect = 0 contributes nothing and excludes nothing —
+    // the paper adds every condition-(3) cell to G, but only cells whose
+    // *counted* tuples must not be recounted need to be in G (tuples of a
+    // K=0 cell are already covered by earlier G-boxes), so we keep |G| = |C|
+    // and avoid a quadratic blow-up.
+    SubSpace.foreachCell(index, dims, x, grids) { (box, flo, fhi) =>
+      if (index.countBox(flo, fhi) > 0) {
+        val (cnt, rep) = countMinusG(index, dims, box, g, rng)
+        if (cnt > 0) {
+          corePts += rep.get
+          coreW += cnt
+          g += box
         }
       }
     }
 
     // r_u = v_S(C)/(1-eps') (Alg 1 line 22 / Appendix A.2)
-    finish(corePts.toArray, coreW.toArray, k, gamma, rng, 1.0 / (1 - conf.epsPrime))
+    SubSpace.finish(corePts.toArray, coreW.toArray, k, gamma, rng, 1.0 / (1 - conf.epsPrime))
   }
 
   /** K_cell = |q_u(D) ∩ (cell \ G)| plus one representative from that set.
@@ -108,12 +97,5 @@ object RelClusteringSlow {
     }
     rec(0, new Array[Double](d), new Array[Double](d))
     (total, rep)
-  }
-
-  private[core] def finish(pts: Array[Pt], w: Array[Double], k: Int,
-                           gamma: GammaAlg, rng: Random, rUFactor: Double): ClusterOut = {
-    val s = gamma.cluster(pts, w, k, rng)
-    val rU = Weighted.cost(pts, w, s, gamma.objective) * rUFactor
-    ClusterOut(s, rU, pts, w)
   }
 }

@@ -2,6 +2,7 @@ package repro
 
 import org.apache.spark.sql.SparkSession
 import repro.baselines.FullJoin
+import repro.bench.Table1Workload
 import repro.join.{AcyclicQuery, GYO, Relation, Yannakakis}
 
 /** Shared tiny workloads for the unit-test suites. All cached so repeated
@@ -10,13 +11,8 @@ import repro.join.{AcyclicQuery, GYO, Relation, Yannakakis}
 object TestData {
 
   /** Path join R1(a1,b) ⋈ R2(b,c) ⋈ R3(c,a2) — many-to-many, |q(D)| ≈ 50k. */
-  def pathQuery(spark: SparkSession, rows: Long = 500, nKeysB: Long = 50,
-                nKeysC: Long = 50, seed: Long = 7): AcyclicQuery = {
-    val r1 = SynthData.pathR1(spark, rows, nKeysB, seed).cache()
-    val r2 = SynthData.pathR2(spark, rows, nKeysB, nKeysC, seed + 1).cache()
-    val r3 = SynthData.pathR3(spark, rows, nKeysC, seed + 2).cache()
-    GYO.joinTree(Seq(Relation("r1", r1), Relation("r2", r2), Relation("r3", r3))).get
-  }
+  def pathQuery(spark: SparkSession): AcyclicQuery =
+    Table1Workload.path(spark, rows = 500, keys = 50, seeds = (7, 8, 9))
 
   /** TPC-H-lite FK join at tiny scale (|q(D)| = |lineitem|). */
   def tpchQuery(spark: SparkSession, sf: Double = 0.001): AcyclicQuery = {

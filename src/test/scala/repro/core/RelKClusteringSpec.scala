@@ -2,9 +2,9 @@ package repro.core
 
 import repro.{SparkSpec, TestData}
 import repro.baselines.FullJoin
+import repro.bench.Table1Workload
 import repro.cluster._
-import repro.join.{GHD, Yannakakis}
-import repro.SynthData
+import repro.join.Yannakakis
 import scala.util.Random
 
 /** End-to-end Algorithm 3 (Rel-K-Median / Rel-K-Means): solution quality vs
@@ -127,10 +127,7 @@ class RelKClusteringSpec extends SparkSpec {
   }
 
   test("works on the cyclic triangle query via GHD") {
-    val r = SynthData.triangleR(spark, 400, 20, seed = 1).cache()
-    val s = SynthData.triangleS(spark, 400, 20, seed = 2).cache()
-    val t = SynthData.triangleT(spark, 400, 20, seed = 3).cache()
-    val tri = GHD.triangle(r, s, t)
+    val tri = Table1Workload.triangle(spark, 400, 20)
     val res = RelKClustering.run(tri, 2, KMedianAlg(), conf.copy(sampleSize = 2000), FastBatched)
     assert(res.centers.length == 2)
     val triTruth = TestData.materializePts(tri)
