@@ -37,12 +37,11 @@ object Table1Workload {
       Relation("r3", cached(SynthData.pathR3(spark, rows, keys, seed = seeds._3))))).get
 
   /** Triangle R(a,b) ⋈ S(b,c) ⋈ T(c,a) through its single-bag GHD. */
-  def triangle(spark: SparkSession, rows: Long, keys: Long,
-               seeds: (Long, Long, Long) = (1, 2, 3)): AcyclicQuery =
+  def triangle(spark: SparkSession, rows: Long, keys: Long): AcyclicQuery =
     GHD.triangle(
-      cached(SynthData.triangleR(spark, rows, keys, seed = seeds._1)),
-      cached(SynthData.triangleS(spark, rows, keys, seed = seeds._2)),
-      cached(SynthData.triangleT(spark, rows, keys, seed = seeds._3)))
+      cached(SynthData.triangleR(spark, rows, keys, seed = 1)),
+      cached(SynthData.triangleS(spark, rows, keys, seed = 2)),
+      cached(SynthData.triangleT(spark, rows, keys, seed = 3)))
 
   /** Cached and counted, so data generation stays out of every timing. */
   private def cached(df: DataFrame): DataFrame = {
