@@ -49,9 +49,35 @@ object Geometry {
 }
 
 /** Identifier of one cell of the exponential grid of center `center`:
-  * ring `j`, integer coordinates within the ring-j grid.
+  * ring `j`, integer coordinates within the ring-j grid, kept as a primitive
+  * `Array[Long]`. Used by the grid walks and as batched Algorithm 2's hash
+  * key, so it compares by value and mixes its 64-bit hash: plain
+  * `Arrays.hashCode` of small neighbouring coordinates collides so often
+  * that hash bins turn into trees.
   */
-final case class CellKey(center: Int, j: Int, coords: Vector[Long])
+final class CellKey(val center: Int, val j: Int, val coords: Array[Long]) {
+  override def equals(o: Any): Boolean = o match {
+    case k: CellKey => center == k.center && j == k.j && java.util.Arrays.equals(coords, k.coords)
+    case _          => false
+  }
+  override def hashCode(): Int = {
+    var h = CellKey.mix(center.toLong * 0x9E3779B97F4A7C15L + j)
+    var i = 0
+    while (i < coords.length) { h = CellKey.mix(h ^ coords(i)); i += 1 }
+    (h ^ (h >>> 32)).toInt
+  }
+  override def toString: String = s"CellKey($center, $j, ${coords.mkString("[", ", ", "]")})"
+}
+
+object CellKey {
+  /** The finaliser of SplitMix64 (Steele, Lea, Flood 2014). */
+  private def mix(x: Long): Long = {
+    var z = x + 0x9E3779B97F4A7C15L
+    z = (z ^ (z >>> 30)) * 0xBF58476D1CE4E5B9L
+    z = (z ^ (z >>> 27)) * 0x94D049BB133111EBL
+    z ^ (z >>> 31)
+  }
+}
 
 /** The exponential grid of Section 3.1 around one center x_i.
   *
@@ -66,8 +92,9 @@ final class ExpGrid(val center: Pt, val phi: Double, val cellsPerSide: Int, val 
   require(cellsPerSide >= 2 && cellsPerSide % 2 == 0, "cellsPerSide must be even and >= 2")
   val dim: Int = center.length
 
-  private def side(j: Int): Double = math.pow(2.0, j) * phi
-  def cellSide(j: Int): Double = side(j) / cellsPerSide
+  private val cellSides = Array.tabulate(jMax + 1)(j => math.pow(2.0, j) * phi / cellsPerSide)
+  /** s_j, for rings j = 0..jMax. */
+  def cellSide(j: Int): Double = cellSides(j)
 
   /** Ring index of a point: smallest j with ||t - x||_inf <= 2^(j-1) phi
     * (capped at jMax; points beyond Q_jMax land in ring jMax).
@@ -76,7 +103,7 @@ final class ExpGrid(val center: Pt, val phi: Double, val cellsPerSide: Int, val 
     var r = 0.0; var i = 0
     while (i < dim) { val d = math.abs(p(i) - center(i)); if (d > r) r = d; i += 1 }
     if (r <= phi / 2) 0
-    else math.min(jMax, math.ceil(math.log(2 * r / phi) / math.log(2.0)).toInt)
+    else math.min(jMax, math.ceil(math.log(2 * r / phi) / ExpGrid.Ln2).toInt)
   }
 
   /** The cell of point p: ring + integer grid coordinates at that ring's
@@ -85,8 +112,10 @@ final class ExpGrid(val center: Pt, val phi: Double, val cellsPerSide: Int, val 
   def cellOf(centerIdx: Int, p: Pt): CellKey = {
     val j = ringOf(p)
     val s = cellSide(j)
-    val coords = Vector.tabulate(dim)(i => math.floor((p(i) - center(i)) / s).toLong)
-    CellKey(centerIdx, j, coords)
+    val coords = new Array[Long](dim)
+    var i = 0
+    while (i < dim) { coords(i) = math.floor((p(i) - center(i)) / s).toLong; i += 1 }
+    new CellKey(centerIdx, j, coords)
   }
 
   def boxOf(key: CellKey): Box = {
@@ -105,7 +134,7 @@ final class ExpGrid(val center: Pt, val phi: Double, val cellsPerSide: Int, val 
   def cellsOfRing(centerIdx: Int, j: Int): Iterator[CellKey] = {
     val half = cellsPerSide / 2 // cells per half-side of Q_j
     val range = (-half.toLong) to half.toLong
-    def inHole(coords: Vector[Long]): Boolean =
+    def inHole(coords: Array[Long]): Boolean =
       // Q_{j-1} has half the side of Q_j: at ring-j resolution its half-side
       // spans cellsPerSide/4 cells; only exact when cellsPerSide % 4 == 0,
       // otherwise we keep the cell (over-covering is safe, it only means a
@@ -114,14 +143,16 @@ final class ExpGrid(val center: Pt, val phi: Double, val cellsPerSide: Int, val 
         val h = cellsPerSide / 4
         coords.forall(c => c >= -h && c < h)
       }
-    def rec(i: Int, acc: Vector[Long]): Iterator[Vector[Long]] =
+    def rec(i: Int, acc: Array[Long]): Iterator[Array[Long]] =
       if (i == dim) Iterator.single(acc)
       else range.iterator.flatMap(c => rec(i + 1, acc :+ c))
-    rec(0, Vector.empty).filterNot(inHole).map(CellKey(centerIdx, j, _))
+    rec(0, Array.emptyLongArray).filterNot(inHole).map(new CellKey(centerIdx, j, _))
   }
 }
 
 object ExpGrid {
+  private val Ln2 = math.log(2.0)
+
   /** jMax such that Q_jMax covers every tuple at max distance
     * `ratio * phi` from its center: 2^(jMax-1) >= ratio. For k-median the
     * ratio is alpha*n (phi = r/(alpha n), per-tuple distance <= r); for

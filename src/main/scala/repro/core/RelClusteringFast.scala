@@ -61,6 +61,18 @@ object RelClusteringFast {
 
   /** Batched Algorithm 2 over a shared uniform join sample `sample`
     * (full-width tuples) of the join with exact total count `n`.
+    *
+    * The pseudocode walks X in order: for each x_i it groups the sample
+    * points not yet assigned by their cell in x_i's grid, and every cell
+    * passing condition (3) becomes one coreset point (its first sample point,
+    * weight |cell ∩ T| / |T| * n) whose points are then assigned. Condition
+    * (3) depends on the cell alone, so a point is assigned at x_i exactly when
+    * its cells around x_1..x_{i-1} fail the condition and its cell around x_i
+    * passes it; a passing cell's group is exactly the points whose first
+    * passing center is x_i. One pass over T therefore gives each point its
+    * first passing (center, cell), deciding condition (3) once per distinct
+    * cell, and the cells are emitted by center and then by first point index:
+    * the per-center walk's order, so the output is the same bit for bit.
     */
   def runBatched(sample: Array[Array[Double]], n: Double, dims: Array[Int], x: Array[Pt],
                  alpha: Double, r: Double, k: Int,
@@ -70,36 +82,39 @@ object RelClusteringFast {
 
     val pts = sample.map(SubSpace.project(_, dims))
     val mTot = pts.length.toDouble
+
+    // cell -> its id if it passes condition (3), else -1; ids are handed out
+    // in order of the cells' first points
+    val cellId = mutable.HashMap.empty[CellKey, Int]
+    val cellCenter = new Array[Int](pts.length)
+    val cellFirst = new Array[Int](pts.length)
+    val cellCount = new Array[Int](pts.length)
+    var cells = 0
     val assigned = new Array[Boolean](pts.length)
-    var remaining = pts.length
+
+    var t = 0
+    while (t < pts.length) {
+      var i = 0
+      while (!assigned(t) && i < x.length) {
+        val key = grids(i).cellOf(i, pts(t))
+        val id = cellId.getOrElseUpdate(key,
+          if (!SubSpace.condition3(x(i), x, grids(i).boxOf(key))) -1
+          else { cellCenter(cells) = i; cellFirst(cells) = t; cells += 1; cells - 1 })
+        if (id >= 0) { cellCount(id) += 1; assigned(t) = true }
+        i += 1
+      }
+      t += 1
+    }
 
     val corePts = mutable.ArrayBuffer.empty[Pt]
     val coreW = mutable.ArrayBuffer.empty[Double]
-
-    var i = 0
-    while (i < x.length && remaining > 0) {
-      // group the still-unassigned sample points by their cell in x_i's grid
-      val byCell = mutable.LinkedHashMap.empty[CellKey, mutable.ArrayBuffer[Int]]
-      var t = 0
-      while (t < pts.length) {
-        if (!assigned(t)) {
-          byCell.getOrElseUpdate(grids(i).cellOf(i, pts(t)), mutable.ArrayBuffer.empty) += t
-        }
-        t += 1
-      }
-      byCell.foreach { case (key, idxs) =>
-        val box = grids(i).boxOf(key)
-        if (SubSpace.condition3(x(i), x, box)) {
-          corePts += pts(idxs.head)
-          coreW += idxs.length / mTot * n
-          idxs.foreach { ix => assigned(ix) = true; remaining -= 1 }
-        }
-      }
-      i += 1
+    (0 until cells).sortBy(cellCenter(_)).foreach { id => // stable: first index within a center
+      corePts += pts(cellFirst(id))
+      coreW += cellCount(id) / mTot * n
     }
     // Safety net (Lemma 3.1 guarantees none at full |X| coverage): leftover
     // sample points enter individually with weight n/|T| — only tightens C.
-    var t = 0
+    t = 0
     while (t < pts.length) {
       if (!assigned(t)) { corePts += pts(t); coreW += n / mTot }
       t += 1

@@ -85,6 +85,23 @@ object GeometryProps extends Properties("Geometry") {
       SubSpace.condition3(g.center, Array(g.center, p), b)
   }
 
+  private val coords: Gen[Array[Long]] =
+    Gen.chooseNum(0, 4).flatMap(d => Gen.listOfN(d, Gen.chooseNum(-6L, 6L))).map(_.toArray)
+
+  property("equal cell keys are equal and hash equally") =
+    forAll(Gen.chooseNum(0, 30), Gen.chooseNum(0, 40), coords) { (c, j, xs) =>
+      val a = new CellKey(c, j, xs)
+      val b = new CellKey(c, j, xs.clone())
+      a == b && a.hashCode == b.hashCode
+    }
+
+  property("cell keys differing in ring, center or a coordinate are unequal") =
+    forAll(Gen.chooseNum(0, 30), Gen.chooseNum(0, 40), coords) { (c, j, xs) =>
+      val a = new CellKey(c, j, xs)
+      val moved = xs.indices.map(i => new CellKey(c, j, xs.updated(i, xs(i) + 1)))
+      a != new CellKey(c, j + 1, xs) && a != new CellKey(c + 1, j, xs) && moved.forall(_ != a)
+    }
+
   property("jMaxFor covers the ratio") = forAll(Gen.chooseNum(2.0, 1e7)) { ratio =>
     val j = ExpGrid.jMaxFor(ratio)
     math.pow(2.0, j - 1) >= ratio * 0.999

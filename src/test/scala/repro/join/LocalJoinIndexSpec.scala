@@ -140,6 +140,73 @@ class LocalJoinIndexSpec extends SparkSpec {
     assert(e.getMessage.contains("relation r") && e.getMessage.contains("column a"), e.getMessage)
   }
 
+  /** H_u from the materialized join: per value (-0.0 read as 0.0, as the
+    * index reads it), the number of join results holding it.
+    */
+  private def treeMapHistogram(q: AcyclicQuery, attr: String): Seq[(Double, Double)] = {
+    val c = q.allAttrs.indexOf(attr)
+    val h = scala.collection.mutable.TreeMap.empty[Double, Double](Ordering.Double.TotalOrdering)
+    TestData.materializePts(q).foreach { t =>
+      val x = if (t(c) == 0.0) 0.0 else t(c)
+      h(x) = h.getOrElse(x, 0.0) + 1
+    }
+    h.toSeq
+  }
+
+  private def bits(h: Seq[(Double, Double)]): Seq[(Long, Long)] =
+    h.map { case (v, w) => (java.lang.Double.doubleToLongBits(v), java.lang.Double.doubleToLongBits(w)) }
+
+  test("histograms match a TreeMap grouping of the join on adversarial relations") {
+    // a: one value on 40 rows, negatives, ±0; b: ±0 and negative keys, second
+    // column of r; c: s's non-leading column; (9, 99) and (-5, 4) join nothing
+    val r = (Seq.fill(40)((7.0, 1.0)) ++ Seq((-3.0, -0.0), (-0.0, 0.0), (0.0, -2.5), (2.0, -2.5),
+      (-3.0, 1.0), (9.0, 99.0))).toDF("a", "b")
+    val s = Seq((1.0, -0.0), (1.0, 7.0), (0.0, -1.0), (-2.5, 0.0), (-2.5, -1.0), (-0.0, -1.0),
+      (-5.0, 4.0)).toDF("b", "c")
+    val t = Seq((-1.0, 2.0), (0.0, 3.0), (-0.0, -4.0), (7.0, 5.0), (7.0, 5.0)).toDF("c", "e")
+    val q = GYO.joinTree(Seq(Relation("r", r), Relation("s", s), Relation("t", t))).get
+    val idx = LocalJoinIndex.build(q)
+    assert(idx.n == Yannakakis.countJoin(q).toDouble)
+    Seq("a", "b", "c", "e").foreach { a =>
+      assert(bits(idx.histogram(a).toSeq) == bits(treeMapHistogram(q, a)), s"attribute $a")
+    }
+  }
+
+  test("countBox and sampleBox on 64 seeded boxes give the map-keyed index's results") {
+    val (blo, bhi) = index.bounds
+    val rng = new Random(64)
+    val digest = java.security.MessageDigest.getInstance("SHA-256")
+    val counts = (0 until 64).map { b =>
+      val lo = Array.tabulate(index.dim)(i =>
+        if (rng.nextBoolean()) Double.NegativeInfinity else blo(i) + rng.nextDouble() * (bhi(i) - blo(i)))
+      val hi = Array.tabulate(index.dim)(i =>
+        if (lo(i).isInfinite && rng.nextBoolean()) Double.PositiveInfinity
+        else math.max(lo(i), blo(i)) + rng.nextDouble() * (bhi(i) - blo(i)))
+      index.sampleBox(lo, hi, 20, new Random(b)).foreach(_.foreach(x =>
+        digest.update(java.nio.ByteBuffer.allocate(8).putLong(java.lang.Double.doubleToLongBits(x)).array())))
+      index.countBox(lo, hi).toLong
+    }
+    val hex = digest.digest().map("%02x".format(_)).mkString
+    // recorded from the HashMap-keyed index this one replaced
+    assert(counts == Seq[Long](1590, 345, 0, 2416, 16472, 3531, 2499, 525, 115, 6755, 3338, 4669,
+      2588, 3357, 201, 1179, 218, 0, 89, 2240, 8297, 8137, 256, 2939, 567, 13464, 149, 2881, 228,
+      4371, 2399, 2143, 7239, 2479, 19658, 0, 4049, 5477, 2459, 2056, 6307, 0, 552, 2454, 1628,
+      12469, 787, 4764, 3497, 2438, 2072, 3351, 73, 11339, 1715, 5066, 0, 57400, 0, 15210, 14366,
+      5254, 3265, 8344), s"counts $counts")
+    assert(hex == "bc35bec6c0e0e5260c295724c639d6c9b97f976487ca5bd6066dc683733eca26", s"sample digest $hex")
+  }
+
+  test("a LongType key beyond 2^53 is rejected naming its relation and column") {
+    val big = 1L << 53
+    val r = Seq((1.0, big), (2.0, big + 1)).toDF("a", "b")
+    val s = Seq((big, 5.0)).toDF("b", "c")
+    val q = GYO.joinTree(Seq(Relation("r", r), Relation("s", s))).get
+    // Spark's join keeps the two keys apart; as doubles they would be one
+    assert(Yannakakis.countJoin(q) == 1L)
+    val e = intercept[IllegalArgumentException](LocalJoinIndex.build(q))
+    assert(e.getMessage.contains("relation r") && e.getMessage.contains("column b"), e.getMessage)
+  }
+
   test("works on the TPC-H FK join") {
     val tpch = TestData.tpchQuery(spark)
     val idx = LocalJoinIndex.build(Yannakakis.fullReduce(tpch))
